@@ -108,3 +108,75 @@ def test_invalid_parameters():
         Link(sim, "bad", src, dst, 0, 1e-6, DropTailQueue())
     with pytest.raises(ValueError):
         Link(sim, "bad", src, dst, 1e9, -1e-6, DropTailQueue())
+
+
+# ----------------------------------------------------------------------
+# Outage semantics.  1500 B at 1 Gbps serializes in 12 us; the link adds
+# 10 us of propagation, so an idle-link frame is on the wire over
+# [0, 12) us and in flight over [12, 22) us.
+# ----------------------------------------------------------------------
+def test_link_down_mid_serialization_corrupts_the_frame():
+    sim = Simulator()
+    link, dst = make_link(sim)
+    link.send(make_data_packet(0, 1, 1, 0, size=1500))
+    sim.schedule(5 * USEC, link.set_down)
+    sim.run()
+    assert dst.received == []
+    assert link.down_drops == 1
+    assert link.pkts_sent == 0 and link.bytes_sent == 0
+
+
+def test_link_down_while_propagating_still_delivers():
+    sim = Simulator()
+    link, dst = make_link(sim)
+    link.send(make_data_packet(0, 1, 1, 0, size=1500))
+    sim.schedule(15 * USEC, link.set_down)
+    sim.run()
+    assert [t for t, _ in dst.received] == [pytest.approx(22 * USEC)]
+    assert link.down_drops == 0
+    assert link.pkts_sent == 1
+
+
+def test_flap_shorter_than_one_serialization_delivers():
+    sim = Simulator()
+    link, dst = make_link(sim)
+    link.send(make_data_packet(0, 1, 1, 0, size=1500))
+    sim.schedule(3 * USEC, link.set_down)
+    sim.schedule(8 * USEC, link.set_up)
+    sim.run()
+    assert [t for t, _ in dst.received] == [pytest.approx(22 * USEC)]
+    assert link.down_drops == 0
+    assert link.down_transitions == 1
+
+
+def test_paused_queue_resumes_at_set_up():
+    sim = Simulator()
+    link, dst = make_link(sim)
+    for i in range(3):
+        link.send(make_data_packet(0, 1, 1, i, size=1500))
+    sim.schedule(5 * USEC, link.set_down, False)
+    sim.schedule(100 * USEC, link.set_up)
+    sim.run()
+    # The frame on the wire dies; the two queued ones wait out the outage.
+    assert link.down_drops == 1
+    assert [p.seq for _, p in dst.received] == [1, 2]
+    assert [t for t, _ in dst.received] == [pytest.approx(122 * USEC),
+                                            pytest.approx(134 * USEC)]
+    assert link.pkts_sent == 2 and len(link.queue) == 0
+
+
+def test_sent_counters_count_at_serialization_end():
+    sim = Simulator()
+    link, dst = make_link(sim)
+    for i in range(2):
+        link.send(make_data_packet(0, 1, 1, i, size=1500))
+    # 18 us: the first frame propagates, the second is still serializing.
+    sim.run(until=18 * USEC)
+    assert (link.pkts_sent, link.bytes_sent) == (1, 1500)
+    # 30 us: the first frame arrived, the second propagates until 34 us.
+    sim.run(until=30 * USEC)
+    assert len(dst.received) == 1
+    assert (link.pkts_sent, link.bytes_sent) == (2, 3000)
+    sim.run()
+    assert len(dst.received) == 2
+    assert (link.pkts_sent, link.bytes_sent) == (2, 3000)
