@@ -21,6 +21,28 @@ perturbs tie-break order):
   per packet dominates the event loop's cost.  Entries that handed out an
   Event handle are never pooled — a stale ``cancel()`` after the event
   fired must stay a no-op, not kill an unrelated recycled event.
+
+Reserved slots let a component take a tie-break position now and decide
+later whether to fill it.  :meth:`Simulator.reserve` draws the next
+sequence number without posting anything; :meth:`Simulator.post_reserved`
+later posts a pooled event under that number, so it fires exactly where
+an event posted at reservation time would have fired.  A link reserves
+the slot of its end-of-serialization wake-up when a frame starts and
+fills it only if the line is backlogged by then, so an idle hop costs one
+event (the delivery) instead of two.
+
+A slot that is never filled still has a position in the event order.
+:attr:`Simulator.current_seq` (the sequence number of the event being
+fired) lets a component ask whether that position has passed: a slot
+``(t, seq)`` has passed once ``t < now``, or ``t == now`` and
+``seq <= current_seq``.  A link asks this when a packet is offered at
+exactly the instant its frame ends: the packet queues behind the frame
+while the slot is ahead, and starts at once after it has passed.  Between
+runs ``current_seq`` is the last sequence number drawn, so every slot at
+or before ``now`` counts as passed unless a run stopped early
+(:meth:`Simulator.stop`, ``max_events``) with events still due at
+``now``.  :meth:`Simulator.unpost` withdraws a pending posted event by
+scanning the heap; it serves rare paths only.
 """
 
 from __future__ import annotations
@@ -90,6 +112,8 @@ class Simulator:
         self._heap: List[list] = []
         self._free: List[list] = []
         self._seq: int = 0
+        #: Sequence number of the event being fired (see module docstring).
+        self.current_seq: int = 0
         self._events_processed: int = 0
         self._running: bool = False
         self._stopped: bool = False
@@ -171,6 +195,47 @@ class Simulator:
         _heappush(self._heap, entry)
 
     # ------------------------------------------------------------------
+    # Reserved slots
+    # ------------------------------------------------------------------
+    def reserve(self) -> int:
+        """Draw the next sequence number without posting an event; fill
+        it later with :meth:`post_reserved`, or never."""
+        self._seq = seq = self._seq + 1
+        return seq
+
+    def post_reserved(self, time: float, seq: int,
+                      fn: Callable[..., Any], *args: Any) -> None:
+        """:meth:`post_at` under the sequence number ``seq`` taken from
+        :meth:`reserve`, so ``fn`` fires among same-time events where a
+        post made at reservation time would have.  Each reserved number
+        must be filled at most once."""
+        if time < self.now:
+            raise ValueError(
+                f"cannot schedule at t={time!r}, current time is {self.now!r}"
+            )
+        free = self._free
+        if free:
+            entry = free.pop()
+            entry[0] = time
+            entry[1] = seq
+            entry[2] = fn
+            entry[3] = args
+        else:
+            entry = [time, seq, fn, args, True]
+        _heappush(self._heap, entry)
+
+    def unpost(self, time: float, fn: Callable[..., Any], *args: Any) -> bool:
+        """Cancel the pending posted event ``fn(*args)`` due at ``time``;
+        returns whether one was found.  A heap scan: for rare paths only
+        (a link corrupting the frame whose delivery it already posted)."""
+        for entry in self._heap:
+            if entry[0] == time and entry[2] == fn and entry[3] == args:
+                entry[2] = None
+                entry[3] = ()
+                return True
+        return False
+
+    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
@@ -196,12 +261,14 @@ class Simulator:
                     # Advance the clock to the horizon so repeated run() calls
                     # observe monotonic time.
                     self.now = until
+                    self.current_seq = self._seq
                     break
                 heappop(heap)
                 fn = entry[2]
                 if fn is None:
                     continue
                 self.now = entry[0]
+                self.current_seq = entry[1]
                 fn(*entry[3])
                 if entry[4]:
                     entry[2] = None
@@ -210,6 +277,9 @@ class Simulator:
                 processed += 1
                 if processed == budget:
                     break
+            else:
+                # Drained: every slot drawn so far is in the past.
+                self.current_seq = self._seq
         finally:
             self._running = False
             self._events_processed += processed

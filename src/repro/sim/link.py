@@ -11,14 +11,44 @@ headers without the core simulator knowing anything about PDQ.
 
 Hot-path notes
 --------------
-The serialization timeline per link is strictly sequential, so a busy link
-keeps exactly **one** outstanding wake-up: the in-flight packet is stored on
-the link and the wake-up callback takes no arguments, letting the engine's
-pooled :meth:`~repro.sim.engine.Simulator.post` path recycle a single heap
-entry per link instead of allocating an Event per packet.  Drop tracing
-hangs off the queue's ``drop_hook`` so the accept path never touches the
-tracer — the ``tracer is None`` check runs only when a packet actually
-drops (and is evaluated once, inside the hook).
+A link keeps a ``free_at`` timeline instead of an event per serialization
+end.  When a frame starts, the link computes its transmission delay
+inline, sets ``free_at = now + tx``, reserves the engine sequence number
+an end-of-serialization event posted now would take
+(:meth:`~repro.sim.engine.Simulator.reserve`), and posts the delivery
+straight at ``free_at + prop_delay``.  The end-of-serialization wake-up
+is posted into that reserved slot only when something must happen then:
+the queue is backlogged when the frame starts, a packet arrives while it
+serializes, or the link goes down while it serializes.  An idle hop
+therefore costs one event, not two, and a wake-up that does fire takes
+the tie-break position a per-frame event would have had.
+
+Whether the line is busy is a question about the reserved slot, not a
+flag: the frame ends at ``(free_at, slot)`` in event order, so a packet
+offered at exactly ``now == free_at`` finds the line busy only if the
+event being fired sorts before the slot
+(:attr:`~repro.sim.engine.Simulator.current_seq`).  Both answers occur:
+a delivery that sorts before the slot must queue behind the ending frame,
+while a sender pacing at exactly line rate offers its next packet after
+the slot and must find the line free.  ``busy``, ``pkts_sent`` and
+``bytes_sent`` read the same test, so the sent counters still count
+frames whose serialization has ended.
+
+A frame whose link is down when its serialization ends is corrupted: the
+slot wake-up (posted by :meth:`Link.set_down`) withdraws the frame's
+delivery and counts a ``down_drops``.  A frame already propagating is
+delivered regardless.
+
+This reproduces the event order of a link that posts one event per
+serialization end exactly when every link shares one propagation delay
+longer than any serialization time (every topology in this repository).
+A shorter delay lets a delivery, posted when its frame started, sort
+ahead of a same-instant serialization end the per-frame model would have
+created only while that frame was on the wire.
+
+Drop tracing hangs off the queue's ``drop_hook`` so the accept path never
+touches the tracer — the ``tracer is None`` check runs only when a packet
+actually drops (and is evaluated once, inside the hook).
 """
 
 from __future__ import annotations
@@ -28,12 +58,14 @@ from typing import TYPE_CHECKING, List, Optional, Protocol
 from repro.sim.packet import Packet
 from repro.sim.queues import QueueDiscipline
 from repro.sim.trace import CAT_DROP
-from repro.utils.units import transmission_delay
 from repro.utils.validation import check_non_negative, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.sim.node import Node
+
+#: ``_free_at`` of a link that has never transmitted.
+_NEVER = float("-inf")
 
 
 class LinkProcessor(Protocol):
@@ -63,19 +95,23 @@ class Link:
         self.prop_delay = check_non_negative("prop_delay", prop_delay)
         self.queue = queue
         queue.drop_hook = self._on_queue_drop
-        self.busy = False
         #: False while the link is administratively/fault down.  Packets
         #: offered to a down link are lost (counted in ``down_drops``);
-        #: the packet being serialized when the link dies is corrupted.
+        #: the frame being serialized when the link dies is corrupted.
         self.up = True
         self.processors: List[LinkProcessor] = []
-        #: The packet currently on the wire (being serialized), if any.
-        self._in_flight: Optional[Packet] = None
-        # Bound-method caches: one attribute load per packet instead of two.
-        self._post = sim.post
+        #: End of the current (or last) serialization, the engine sequence
+        #: number reserved for it, and whether a wake-up fills that slot.
+        self._free_at = _NEVER
+        self._slot = 0
+        self._wake_posted = False
+        #: The frame serializing until ``_free_at``.
+        self._tx_pkt: Optional[Packet] = None
+        # Frames whose serialization started and was not corrupted;
+        # pkts_sent/bytes_sent subtract the one still serializing.
+        self._pkts_started: int = 0
+        self._bytes_started: int = 0
         # Counters for utilization / loss accounting.
-        self.bytes_sent: int = 0
-        self.pkts_sent: int = 0
         self.data_pkts_offered: int = 0
         self.busy_time: float = 0.0
         self.down_drops: int = 0
@@ -96,39 +132,78 @@ class Link:
         if not self.up:
             self._drop_down(pkt)
             return False
-        if self.queue.enqueue(pkt):
-            if not self.busy:
-                self._transmit_next()
-            return True
-        return False
+        if not self.queue.enqueue(pkt):
+            return False
+        sim = self.sim
+        free_at = self._free_at
+        if free_at < sim.now or (free_at == sim.now
+                                 and self._slot <= sim.current_seq):
+            # ``not self.busy``, inlined.  An idle, up line has an empty
+            # queue, so this packet starts alone and leaves no backlog to
+            # wake up for.
+            self._start(self.queue.dequeue())
+        elif not self._wake_posted:
+            self._wake_posted = True
+            sim.post_reserved(free_at, self._slot, self._on_free)
+        return True
+
+    def _start(self, pkt: Packet) -> None:
+        """Put ``pkt`` on the wire and post its delivery."""
+        sim = self.sim
+        tx_delay = pkt.size * 8 / self.capacity_bps
+        self.busy_time += tx_delay
+        self._free_at = free_at = sim.now + tx_delay
+        self._slot = sim.reserve()
+        self._tx_pkt = pkt
+        self._pkts_started += 1
+        self._bytes_started += pkt.size
+        sim.post_at(free_at + self.prop_delay, self.dst.receive, pkt, self)
 
     def _transmit_next(self) -> None:
-        if not self.up:
-            self.busy = False
-            return
-        pkt = self.queue.dequeue()
+        """Start the next queued frame (the line must be idle and up), and
+        fill its slot with a wake-up if more frames wait behind it."""
+        queue = self.queue
+        pkt = queue.dequeue()
         if pkt is None:
-            self.busy = False
             return
-        self.busy = True
-        self._in_flight = pkt
-        tx_delay = transmission_delay(pkt.size, self.capacity_bps)
-        self.busy_time += tx_delay
-        self._post(tx_delay, self._transmission_done)
+        self._start(pkt)
+        if queue:
+            self._wake_posted = True
+            self.sim.post_reserved(self._free_at, self._slot, self._on_free)
 
-    def _transmission_done(self) -> None:
-        pkt = self._in_flight
-        self._in_flight = None
-        if not self.up:
-            # The link died mid-serialization: the frame is corrupted.
-            self.busy = False
-            self._drop_down(pkt)
+    def _on_free(self) -> None:
+        """The reserved end-of-serialization wake-up."""
+        self._wake_posted = False
+        if self.up:
+            self._transmit_next()
             return
-        self.bytes_sent += pkt.size
-        self.pkts_sent += 1
-        # Hand off to the wire; reception happens after propagation.
-        self._post(self.prop_delay, self.dst.receive, pkt, self)
-        self._transmit_next()
+        # The link died mid-serialization: the frame is corrupted and its
+        # posted delivery withdrawn.  The queue stays paused until set_up.
+        pkt = self._tx_pkt
+        self.sim.unpost(self._free_at + self.prop_delay, self.dst.receive,
+                        pkt, self)
+        self._pkts_started -= 1
+        self._bytes_started -= pkt.size
+        self._drop_down(pkt)
+
+    @property
+    def busy(self) -> bool:
+        """True while a frame is serializing."""
+        sim = self.sim
+        free_at = self._free_at
+        return free_at > sim.now or (free_at == sim.now
+                                     and self._slot > sim.current_seq)
+
+    @property
+    def pkts_sent(self) -> int:
+        """Frames whose serialization has ended (corrupted ones excluded)."""
+        return self._pkts_started - 1 if self.busy else self._pkts_started
+
+    @property
+    def bytes_sent(self) -> int:
+        if self.busy:
+            return self._bytes_started - self._tx_pkt.size
+        return self._bytes_started
 
     # ------------------------------------------------------------------
     # Drop instrumentation (cold paths)
@@ -160,6 +235,10 @@ class Link:
             return
         self.up = False
         self.down_transitions += 1
+        if self.busy and not self._wake_posted:
+            # The serialization end must look at the link: post its slot.
+            self._wake_posted = True
+            self.sim.post_reserved(self._free_at, self._slot, self._on_free)
         if flush:
             while True:
                 pkt = self.queue.dequeue()

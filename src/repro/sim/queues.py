@@ -176,16 +176,8 @@ class PriorityQueueBank(QueueDiscipline):
         self._len = 0
         self._bytes = 0
 
-    def _class_for(self, pkt: Packet) -> int:
-        idx = pkt.queue_index
-        if idx < 0:
-            return 0
-        if idx >= self.num_queues:
-            return self.num_queues - 1
-        return idx
-
     def enqueue(self, pkt: Packet) -> bool:
-        # Inlined _class_for: this is the per-packet path for every PASE run.
+        # Out-of-range indices clamp to the end classes.
         idx = pkt.queue_index
         if idx < 0:
             idx = 0

@@ -288,3 +288,105 @@ def test_max_events_counts_fired_not_cancelled():
     assert processed == 2
     assert fired == [1, 3]
     assert keep1.time == 0.1
+
+
+# ----------------------------------------------------------------------
+# reserve() / post_reserved(): tie-break slots filled later
+# ----------------------------------------------------------------------
+def test_reserved_slot_fires_where_it_was_reserved():
+    """An event posted into a reserved slot fires among same-time events
+    as if it had been posted when the slot was reserved."""
+    sim = Simulator()
+    fired = []
+    sim.post(1.0, fired.append, "before")
+    slot = sim.reserve()
+    sim.post(1.0, fired.append, "after")
+    sim.schedule(1.0, fired.append, "after (handle)")
+    sim.post_reserved(1.0, slot, fired.append, "slot")
+    sim.run()
+    assert fired == ["before", "slot", "after", "after (handle)"]
+
+
+def test_reserved_slot_filled_from_a_later_event():
+    sim = Simulator()
+    fired = []
+    slot = sim.reserve()
+    sim.post(2.0, fired.append, "posted after the reservation")
+    sim.post(1.0, lambda: sim.post_reserved(2.0, slot, fired.append, "slot"))
+    sim.run()
+    assert fired == ["slot", "posted after the reservation"]
+
+
+def test_unfilled_reservation_fires_nothing():
+    sim = Simulator()
+    fired = []
+    sim.reserve()
+    sim.post(1.0, fired.append, "x")
+    assert sim.run() == 1
+    assert fired == ["x"]
+
+
+def test_post_reserved_rejects_past_times():
+    sim = Simulator()
+    sim.post(1.0, lambda: None)
+    sim.run()
+    with pytest.raises(ValueError):
+        sim.post_reserved(0.5, sim.reserve(), lambda: None)
+
+
+def test_reserved_entries_are_pooled():
+    """post_reserved() draws from and returns to the same free list as
+    post(), so a chain of slot fills allocates no new entries."""
+    sim = Simulator()
+    count = [0]
+
+    def tick():
+        count[0] += 1
+        if count[0] < 100:
+            sim.post_reserved(sim.now + 0.01, sim.reserve(), tick)
+
+    sim.post(0.0, tick)
+    sim.run()
+    assert count[0] == 100
+    assert len(sim._free) == 2
+    assert sim.pending_events == 0
+
+
+def test_current_seq_is_the_firing_events_sequence_number():
+    sim = Simulator()
+    seen = []
+    first = sim.schedule(1.0, lambda: seen.append(sim.current_seq))
+    slot = sim.reserve()
+    sim.post_reserved(1.0, slot, lambda: seen.append(sim.current_seq))
+    second = sim.schedule(1.0, lambda: seen.append(sim.current_seq))
+    assert sim.current_seq == 0
+    sim.run()
+    assert seen == [first.seq, slot, second.seq]
+
+
+def test_current_seq_between_runs():
+    """After a run drains or reaches its horizon every slot drawn so far
+    is in the past; after stop() only the events that fired are."""
+    sim = Simulator()
+    sim.post(1.0, lambda: None)
+    sim.run(until=2.0)
+    late = sim.reserve()
+    assert sim.current_seq == late - 1
+    stopper = sim.schedule(3.0, sim.stop)
+    sim.schedule(3.0, lambda: None)
+    sim.run()
+    assert sim.current_seq == stopper.seq
+    sim.run()
+    assert sim.current_seq == sim.reserve() - 1
+
+
+def test_unpost_withdraws_a_pending_posted_event():
+    sim = Simulator()
+    fired = []
+    sim.post(1.0, fired.append, "a")
+    sim.post(1.0, fired.append, "b")
+    assert sim.unpost(1.0, fired.append, "a")
+    assert not sim.unpost(1.0, fired.append, "a")
+    assert not sim.unpost(2.0, fired.append, "b")
+    assert sim.run() == 1
+    assert fired == ["b"]
