@@ -34,7 +34,9 @@ class LossyQueue(QueueDiscipline):
         #: Drops injected by the loss model (also counted in ``drops``).
         self.injected_drops = 0
 
-    def enqueue(self, pkt: Packet) -> bool:
+    def _lose(self, pkt: Packet) -> bool:
+        """Draw the loss model for ``pkt``; True (and counted) if it is
+        dropped."""
         if pkt.kind == 0 and self.model.drop():  # PacketKind.DATA
             self.injected_drops += 1
             self.inner.drops += 1
@@ -42,8 +44,18 @@ class LossyQueue(QueueDiscipline):
             hook = self.inner.drop_hook
             if hook is not None:
                 hook(pkt, "injected-loss")
+            return True
+        return False
+
+    def enqueue(self, pkt: Packet) -> bool:
+        if self._lose(pkt):
             return False
         return self.inner.enqueue(pkt)
+
+    def admit_idle(self, pkt: Packet) -> bool:
+        if self._lose(pkt):
+            return False
+        return self.inner.admit_idle(pkt)
 
     def dequeue(self) -> Optional[Packet]:
         return self.inner.dequeue()

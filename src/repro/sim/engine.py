@@ -10,7 +10,7 @@ Two scheduling APIs share one sequence counter (so mixing them never
 perturbs tie-break order):
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return an
-  :class:`Event` handle the caller can cancel later (retransmission
+  :class:`Event` handle the caller can cancel later (pacing and probe
   timers, arbitration ticks).  Cancellation is lazy: cancelling nulls the
   entry's callback and the loop skips it when popped, keeping heap
   operations O(log n) with no re-heapify.
@@ -43,6 +43,23 @@ or before ``now`` counts as passed unless a run stopped early
 (:meth:`Simulator.stop`, ``max_events``) with events still due at
 ``now``.  :meth:`Simulator.unpost` withdraws a pending posted event by
 scanning the heap; it serves rare paths only.
+:meth:`Simulator.reserve_post_at` draws a slot and posts an event under
+the sequence number right after it in one call (a link starting a frame).
+
+A :class:`Timer` is a re-armable timeout built on reserved slots (a
+sender's retransmission timer, re-armed by every ACK that advances it).
+Cancelling a handle and scheduling a fresh one would leave one dead entry
+in the heap per re-arm; a :class:`Timer` keeps at most one entry.
+:meth:`Timer.arm` reserves a slot, records ``(deadline, slot)`` and pushes
+an entry only when it has none or the new deadline is earlier than the
+entry's.  The usual re-arm moves the deadline later and costs no heap
+operation.  When an entry whose sequence number is not the slot fires
+(a stale wake-up, itself counted as a fired event), the timer re-posts
+it into ``(deadline, slot)``: the callback then fires exactly where an
+event scheduled when the timer was last armed would have fired, among
+same-time events too.  :meth:`Timer.cancel` withdraws the entry the way
+:meth:`Event.cancel` does, so a timer that is never re-armed costs what a
+cancelled handle did.
 """
 
 from __future__ import annotations
@@ -58,7 +75,7 @@ _INF = float("inf")
 class Event:
     """Handle for a scheduled callback.  Returned by
     :meth:`Simulator.schedule` so the caller can cancel it later (e.g. a
-    retransmission timer)."""
+    pacing tick); a timer re-armed often is a :class:`Timer`."""
 
     __slots__ = ("_entry",)
 
@@ -224,6 +241,29 @@ class Simulator:
             entry = [time, seq, fn, args, True]
         _heappush(self._heap, entry)
 
+    def reserve_post_at(self, time: float, fn: Callable[..., Any],
+                        *args: Any) -> int:
+        """:meth:`reserve` followed by :meth:`post_at` in one call: posts
+        ``fn(*args)`` at ``time`` under the sequence number after the slot
+        it reserves, and returns the slot."""
+        if time < self.now:
+            raise ValueError(
+                f"cannot schedule at t={time!r}, current time is {self.now!r}"
+            )
+        slot = self._seq + 1
+        self._seq = seq = slot + 1
+        free = self._free
+        if free:
+            entry = free.pop()
+            entry[0] = time
+            entry[1] = seq
+            entry[2] = fn
+            entry[3] = args
+        else:
+            entry = [time, seq, fn, args, True]
+        _heappush(self._heap, entry)
+        return slot
+
     def unpost(self, time: float, fn: Callable[..., Any], *args: Any) -> bool:
         """Cancel the pending posted event ``fn(*args)`` due at ``time``;
         returns whether one was found.  A heap scan: for rare paths only
@@ -311,3 +351,70 @@ class Simulator:
         while heap and heap[0][2] is None:
             heapq.heappop(heap)
         return heap[0][0] if heap else None
+
+
+class Timer:
+    """A re-armable timeout that calls ``fn()`` (see the module docstring).
+
+    Usage::
+
+        timer = Timer(sim, on_timeout)
+        timer.arm(0.010)   # fires at now + 10 ms ...
+        timer.arm(0.010)   # ... unless re-armed: now at the new deadline
+        timer.cancel()
+    """
+
+    __slots__ = ("_sim", "_fn", "_entry", "_slot", "deadline", "pending")
+
+    def __init__(self, sim: Simulator, fn: Callable[[], Any]) -> None:
+        self._sim = sim
+        self._fn = fn
+        #: This timer's entry while it is in the heap, else ``None``.
+        self._entry: Optional[list] = None
+        #: The sequence number reserved by the last :meth:`arm`.
+        self._slot: int = 0
+        self.deadline: float = 0.0
+        #: True from :meth:`arm` until the callback fires or :meth:`cancel`.
+        self.pending: bool = False
+
+    def arm(self, delay: float) -> None:
+        """(Re)start the timer: ``fn`` fires ``delay`` seconds from now,
+        in the position a :meth:`Simulator.schedule` made now would take.
+        Replaces any earlier deadline, later or sooner."""
+        if delay < 0:
+            raise ValueError(f"cannot schedule in the past (delay={delay!r})")
+        sim = self._sim
+        self._slot = slot = sim.reserve()
+        self.deadline = deadline = sim.now + delay
+        self.pending = True
+        entry = self._entry
+        if entry is not None:
+            if entry[0] <= deadline:
+                return  # the entry wakes first and re-posts into the slot
+            entry[2] = None
+            entry[3] = ()
+        self._entry = entry = [deadline, slot, self._wake, (), False]
+        _heappush(sim._heap, entry)
+
+    def cancel(self) -> None:
+        """Stop the timer; a no-op when it is not pending."""
+        self.pending = False
+        entry = self._entry
+        if entry is not None:
+            self._entry = None
+            entry[2] = None
+            entry[3] = ()
+
+    def _wake(self) -> None:
+        # The entry is live only while the timer is pending, so this is
+        # either the deadline's own slot or a stale wake-up before it.
+        sim = self._sim
+        if sim.current_seq == self._slot:
+            self._entry = None
+            self.pending = False
+            self._fn()
+            return
+        entry = self._entry
+        entry[0] = self.deadline
+        entry[1] = self._slot
+        _heappush(sim._heap, entry)

@@ -13,15 +13,23 @@ Hot-path notes
 --------------
 A link keeps a ``free_at`` timeline instead of an event per serialization
 end.  When a frame starts, the link computes its transmission delay
-inline, sets ``free_at = now + tx``, reserves the engine sequence number
-an end-of-serialization event posted now would take
-(:meth:`~repro.sim.engine.Simulator.reserve`), and posts the delivery
-straight at ``free_at + prop_delay``.  The end-of-serialization wake-up
-is posted into that reserved slot only when something must happen then:
-the queue is backlogged when the frame starts, a packet arrives while it
-serializes, or the link goes down while it serializes.  An idle hop
-therefore costs one event, not two, and a wake-up that does fire takes
-the tie-break position a per-frame event would have had.
+inline, sets ``free_at = now + tx``, and makes one engine call
+(:meth:`~repro.sim.engine.Simulator.reserve_post_at`): it reserves the
+sequence number an end-of-serialization event posted now would take and
+posts the delivery (``dst.receive``, bound once when the link is built)
+straight at ``free_at + prop_delay`` under the next one.  The
+end-of-serialization wake-up is posted into that reserved slot only when
+something must happen then: the queue is backlogged when the frame
+starts, a packet arrives while it serializes, or the link goes down while
+it serializes.  An idle hop therefore costs one event, not two, and a
+wake-up that does fire takes the tie-break position a per-frame event
+would have had.
+
+A packet offered to an idle, up line meets an empty queue, so it goes
+through :meth:`~repro.sim.queues.QueueDiscipline.admit_idle` instead of
+``enqueue`` followed by ``dequeue``: the same counters and (for a
+:class:`~repro.faults.queues.LossyQueue`) the same loss draw, without
+touching the queue's storage.
 
 Whether the line is busy is a question about the reserved slot, not a
 flag: the frame ends at ``(free_at, slot)`` in event order, so a packet
@@ -95,6 +103,8 @@ class Link:
         self.prop_delay = check_non_negative("prop_delay", prop_delay)
         self.queue = queue
         queue.drop_hook = self._on_queue_drop
+        #: ``dst.receive``, bound once: every frame's delivery posts it.
+        self._deliver = dst.receive
         #: False while the link is administratively/fault down.  Packets
         #: offered to a down link are lost (counted in ``down_drops``);
         #: the frame being serialized when the link dies is corrupted.
@@ -132,8 +142,6 @@ class Link:
         if not self.up:
             self._drop_down(pkt)
             return False
-        if not self.queue.enqueue(pkt):
-            return False
         sim = self.sim
         free_at = self._free_at
         if free_at < sim.now or (free_at == sim.now
@@ -141,8 +149,13 @@ class Link:
             # ``not self.busy``, inlined.  An idle, up line has an empty
             # queue, so this packet starts alone and leaves no backlog to
             # wake up for.
-            self._start(self.queue.dequeue())
-        elif not self._wake_posted:
+            if not self.queue.admit_idle(pkt):
+                return False
+            self._start(pkt)
+            return True
+        if not self.queue.enqueue(pkt):
+            return False
+        if not self._wake_posted:
             self._wake_posted = True
             sim.post_reserved(free_at, self._slot, self._on_free)
         return True
@@ -153,11 +166,11 @@ class Link:
         tx_delay = pkt.size * 8 / self.capacity_bps
         self.busy_time += tx_delay
         self._free_at = free_at = sim.now + tx_delay
-        self._slot = sim.reserve()
         self._tx_pkt = pkt
         self._pkts_started += 1
         self._bytes_started += pkt.size
-        sim.post_at(free_at + self.prop_delay, self.dst.receive, pkt, self)
+        self._slot = sim.reserve_post_at(free_at + self.prop_delay,
+                                         self._deliver, pkt, self)
 
     def _transmit_next(self) -> None:
         """Start the next queued frame (the line must be idle and up), and
@@ -180,7 +193,7 @@ class Link:
         # The link died mid-serialization: the frame is corrupted and its
         # posted delivery withdrawn.  The queue stays paused until set_up.
         pkt = self._tx_pkt
-        self.sim.unpost(self._free_at + self.prop_delay, self.dst.receive,
+        self.sim.unpost(self._free_at + self.prop_delay, self._deliver,
                         pkt, self)
         self._pkts_started -= 1
         self._bytes_started -= pkt.size

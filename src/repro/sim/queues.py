@@ -23,7 +23,7 @@ from collections import deque
 from typing import Callable, Deque, List, Optional
 
 from repro.sim.packet import Packet
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count
 
 #: Signature of the per-drop callback a :class:`~repro.sim.link.Link`
 #: installs on its queue: ``hook(pkt, reason)`` with ``reason=None`` for a
@@ -62,6 +62,14 @@ class QueueDiscipline:
     def dequeue(self) -> Optional[Packet]:
         raise NotImplementedError
 
+    def admit_idle(self, pkt: Packet) -> bool:
+        """Offer ``pkt`` to an empty queue whose line is idle: the packet
+        goes straight on the wire.  Leaves the state ``enqueue(pkt)``
+        followed by ``dequeue()`` would: an empty queue accepts without
+        marking (every capacity and threshold is at least one packet)."""
+        self.enqueued_total += 1
+        return True
+
     def __len__(self) -> int:
         raise NotImplementedError
 
@@ -77,10 +85,6 @@ class QueueDiscipline:
             hook(pkt, reason)
         return False
 
-    def _record_accept(self, pkt: Packet) -> bool:
-        self.enqueued_total += 1
-        return True
-
 
 class DropTailQueue(QueueDiscipline):
     """FIFO with a capacity in packets; arrivals beyond capacity are dropped."""
@@ -89,7 +93,7 @@ class DropTailQueue(QueueDiscipline):
 
     def __init__(self, capacity_pkts: int = 100) -> None:
         super().__init__()
-        self.capacity_pkts = int(check_positive("capacity_pkts", capacity_pkts))
+        self.capacity_pkts = check_count("capacity_pkts", capacity_pkts)
         self._q: Deque[Packet] = deque()
         self._bytes = 0
 
@@ -129,7 +133,7 @@ class REDQueue(DropTailQueue):
 
     def __init__(self, capacity_pkts: int = 225, mark_threshold_pkts: int = 65) -> None:
         super().__init__(capacity_pkts=capacity_pkts)
-        self.mark_threshold_pkts = int(check_positive("mark_threshold_pkts", mark_threshold_pkts))
+        self.mark_threshold_pkts = check_count("mark_threshold_pkts", mark_threshold_pkts)
 
     def enqueue(self, pkt: Packet) -> bool:
         if len(self._q) >= self.capacity_pkts:
@@ -165,9 +169,9 @@ class PriorityQueueBank(QueueDiscipline):
         per_queue_capacity: bool = False,
     ) -> None:
         super().__init__()
-        self.num_queues = int(check_positive("num_queues", num_queues))
-        self.capacity_pkts = int(check_positive("capacity_pkts", capacity_pkts))
-        self.mark_threshold_pkts = int(check_positive("mark_threshold_pkts", mark_threshold_pkts))
+        self.num_queues = check_count("num_queues", num_queues)
+        self.capacity_pkts = check_count("capacity_pkts", capacity_pkts)
+        self.mark_threshold_pkts = check_count("mark_threshold_pkts", mark_threshold_pkts)
         #: When True the capacity applies per class; when False (default) the
         #: capacity is a shared cap on total occupancy, matching a shared
         #: packet buffer carved into queues.
@@ -236,7 +240,7 @@ class PFabricQueue(QueueDiscipline):
 
     def __init__(self, capacity_pkts: int = 76) -> None:
         super().__init__()
-        self.capacity_pkts = int(check_positive("capacity_pkts", capacity_pkts))
+        self.capacity_pkts = check_count("capacity_pkts", capacity_pkts)
         self._q: List[Packet] = []
         self._bytes = 0
 

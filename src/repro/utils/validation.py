@@ -15,6 +15,16 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
+def check_count(name: str, value: float) -> int:
+    """Require ``int(value) >= 1`` (a packet count or a number of queues);
+    return ``int(value)``.  A fraction that truncates to zero is rejected
+    rather than silently becoming 0."""
+    count = int(value)
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
+    return count
+
+
 def check_non_negative(name: str, value: float) -> float:
     """Require ``value >= 0``; return it for fluent use."""
     if value < 0:

@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, Timer
 
 
 def test_events_fire_in_time_order():
@@ -390,3 +392,206 @@ def test_unpost_withdraws_a_pending_posted_event():
     assert not sim.unpost(2.0, fired.append, "b")
     assert sim.run() == 1
     assert fired == ["b"]
+
+
+# ----------------------------------------------------------------------
+# Timer: re-armable timeouts on reserved slots
+# ----------------------------------------------------------------------
+def _timer_log(sim, log, label="timer"):
+    return Timer(sim, lambda: log.append((sim.now, label)))
+
+
+def test_timer_fires_at_its_deadline():
+    sim = Simulator()
+    log = []
+    timer = _timer_log(sim, log)
+    assert not timer.pending
+    timer.arm(1.0)
+    assert timer.pending and timer.deadline == 1.0
+    sim.run()
+    assert log == [(1.0, "timer")]
+    assert not timer.pending
+
+
+def test_timer_rearm_later_pushes_nothing_and_fires_once():
+    sim = Simulator()
+    log = []
+    timer = _timer_log(sim, log)
+    timer.arm(1.0)
+    sim.post(0.5, timer.arm, 1.0)
+    sim.post(0.75, timer.arm, 1.0)
+    sim.run(until=0.9)
+    assert sim.pending_events == 1  # one entry, however often re-armed
+    sim.run()
+    assert log == [(1.75, "timer")]
+    # Two re-arms, one timer entry: the stale wake-up at 1.0 re-posts it.
+    assert sim.events_processed == 4
+
+
+def test_timer_rearm_earlier_fires_once_at_the_new_deadline():
+    sim = Simulator()
+    log = []
+    timer = _timer_log(sim, log)
+    timer.arm(1.0)
+    sim.post(0.2, timer.arm, 0.3)
+    sim.run()
+    assert log == [(0.5, "timer")]
+    assert sim.events_processed == 2  # the superseded entry never fires
+
+
+def test_timer_cancel():
+    sim = Simulator()
+    log = []
+    timer = _timer_log(sim, log)
+    timer.cancel()  # not pending: a no-op
+    timer.arm(1.0)
+    sim.post(0.5, timer.cancel)
+    sim.run()
+    assert log == [] and not timer.pending
+    assert sim.events_processed == 1  # the cancelled entry is skipped
+    timer.cancel()
+    timer.arm(0.25)
+    sim.run()
+    assert log == [(0.75, "timer")]
+
+
+def test_timer_cancel_then_rearm_keeps_the_new_deadline():
+    sim = Simulator()
+    log = []
+    timer = _timer_log(sim, log)
+    timer.arm(1.0)
+    sim.post(0.5, lambda: (timer.cancel(), timer.arm(1.0)))
+    sim.run()
+    assert log == [(1.5, "timer")]
+
+
+def test_timer_rearmed_from_its_callback():
+    sim = Simulator()
+    fired = []
+
+    def on_timeout():
+        fired.append(sim.now)
+        if len(fired) < 3:
+            timer.arm(1.0)
+
+    timer = Timer(sim, on_timeout)
+    timer.arm(1.0)
+    sim.run()
+    assert fired == [1.0, 2.0, 3.0]
+    assert not timer.pending and sim.pending_events == 0
+
+
+def test_timer_orders_like_a_schedule_made_when_armed():
+    """Among events due at its deadline, the timer fires where an event
+    scheduled at its last arm() would have: after those posted before
+    that arm, before those posted after it."""
+    sim = Simulator()
+    log = []
+    timer = _timer_log(sim, log)
+    sim.post(1.0, log.append, (1.0, "posted before arm"))
+    timer.arm(1.0)
+    sim.schedule(1.0, log.append, (1.0, "scheduled after arm"))
+    sim.run()
+    assert log == [(1.0, "posted before arm"), (1.0, "timer"),
+                   (1.0, "scheduled after arm")]
+
+
+def test_timer_stale_entry_sharing_the_deadline_time():
+    """Re-armed to the same instant its entry is due at: the entry wakes
+    at its old position and re-posts into the new slot, behind events
+    posted between the two arms."""
+    sim = Simulator()
+    log = []
+    timer = _timer_log(sim, log)
+    sim.post(1.0, log.append, (1.0, "A"))
+    timer.arm(1.0)
+    sim.post(1.0, log.append, (1.0, "B"))
+
+    def rearm():
+        sim.post(0.5, log.append, (1.0, "C"))
+        timer.arm(0.5)
+        sim.post(0.5, log.append, (1.0, "D"))
+
+    sim.post(0.5, rearm)
+    sim.run()
+    assert log == [(1.0, "A"), (1.0, "B"), (1.0, "C"), (1.0, "timer"),
+                   (1.0, "D")]
+
+
+def test_timer_rejects_negative_delay():
+    with pytest.raises(ValueError):
+        Timer(Simulator(), lambda: None).arm(-1e-9)
+
+
+class _ScheduleTimer:
+    """The oracle: a timer made of schedule() handles, one fresh handle
+    per arm and a cancel() of the previous one."""
+
+    def __init__(self, sim, fn):
+        self.sim, self.fn, self.event = sim, fn, None
+
+    @property
+    def pending(self):
+        return self.event is not None
+
+    def arm(self, delay):
+        self.cancel()
+        self.event = self.sim.schedule(delay, self._fire)
+
+    def cancel(self):
+        if self.event is not None:
+            self.event.cancel()
+            self.event = None
+
+    def _fire(self):
+        self.event = None
+        self.fn()
+
+
+#: (tick, action, timer, delay in ticks); action 0 arms, 1 cancels and
+#: 2 posts a marker ``delay`` ticks ahead.
+_TIMER_OPS = st.lists(
+    st.tuples(st.integers(0, 24), st.integers(0, 2), st.integers(0, 2),
+              st.integers(0, 8)),
+    max_size=40)
+
+
+def _play_timers(make_timer, ops, rearms):
+    tick = 2.0 ** -10
+    sim = Simulator()
+    log = []
+    timers = []
+    for i in range(3):
+        delays = list(rearms[i::3])
+
+        def on_timeout(i=i, delays=delays):
+            log.append((sim.now, "fire", i))
+            if delays:
+                timers[i].arm(delays.pop() * tick)
+
+        timers.append(make_timer(sim, on_timeout))
+
+    def act(n, action, i, delay):
+        if action == 0:
+            timers[i].arm(delay * tick)
+        elif action == 1:
+            timers[i].cancel()
+        else:
+            sim.post(delay * tick, log.append, (sim.now + delay * tick,
+                                                "marker", n))
+        log.append((sim.now, "op", n, [t.pending for t in timers]))
+
+    for n, (at, action, i, delay) in enumerate(ops):
+        sim.post_at(at * tick, act, n, action, i, delay)
+    sim.run()
+    return log
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_TIMER_OPS, rearms=st.lists(st.integers(0, 8), max_size=12))
+def test_timer_matches_schedule_and_cancel(ops, rearms):
+    """Random arm/cancel sequences (re-arms from callbacks included),
+    interleaved with posted events at colliding times, fire the same
+    callbacks at the same times in the same order as the oracle."""
+    assert (_play_timers(Timer, ops, rearms)
+            == _play_timers(_ScheduleTimer, ops, rearms))

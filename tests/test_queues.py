@@ -197,3 +197,106 @@ class TestPFabricQueue:
         assert not q.enqueue(pkt(flow=1, seq=2, priority=5_000))
         # Older packets of the flow survived.
         assert q.dequeue().seq == 0
+
+
+class TestCountParameters:
+    """Packet counts and the number of classes must be at least one after
+    ``int()``: a fraction below one used to truncate silently to zero."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: DropTailQueue(capacity_pkts=0.5),
+        lambda: REDQueue(mark_threshold_pkts=0.5),
+        lambda: REDQueue(capacity_pkts=0.99),
+        lambda: PriorityQueueBank(num_queues=0.9),
+        lambda: PriorityQueueBank(capacity_pkts=0.5),
+        lambda: PriorityQueueBank(mark_threshold_pkts=0.5),
+        lambda: PFabricQueue(capacity_pkts=0.5),
+        lambda: DropTailQueue(capacity_pkts=-2),
+    ])
+    def test_rejects_counts_below_one(self, make):
+        with pytest.raises(ValueError, match="at least 1"):
+            make()
+
+    def test_fraction_above_one_truncates(self):
+        assert DropTailQueue(capacity_pkts=2.7).capacity_pkts == 2
+        assert REDQueue(mark_threshold_pkts=1.5).mark_threshold_pkts == 1
+        assert PriorityQueueBank(num_queues=3.2).num_queues == 3
+
+    def test_threshold_one_does_not_mark_an_empty_queue(self):
+        q = REDQueue(capacity_pkts=10, mark_threshold_pkts=1)
+        first, second = pkt(seq=0), pkt(seq=1)
+        q.enqueue(first)
+        q.enqueue(second)
+        assert not first.ecn_marked
+        assert second.ecn_marked
+
+
+def _lossy(inner, model):
+    from repro.faults.queues import LossyQueue
+    return LossyQueue(inner, model)
+
+
+def _bernoulli(seed):
+    from repro.faults.models import BernoulliLoss
+    return BernoulliLoss(0.4, seed=seed)
+
+
+def _gilbert(seed):
+    from repro.faults.models import GilbertElliottLoss
+    return GilbertElliottLoss(0.3, 0.4, loss_good=0.1, loss_bad=0.8,
+                              seed=seed)
+
+
+#: Every discipline at its smallest legal settings (where an off-by-one
+#: in admit_idle would show), and LossyQueue over two of them.
+IDLE_QUEUES = {
+    "droptail": lambda: DropTailQueue(capacity_pkts=1),
+    "red": lambda: REDQueue(capacity_pkts=1, mark_threshold_pkts=1),
+    "red-default": REDQueue,
+    "prio-shared": lambda: PriorityQueueBank(
+        num_queues=2, capacity_pkts=1, mark_threshold_pkts=1),
+    "prio-per-queue": lambda: PriorityQueueBank(
+        num_queues=1, capacity_pkts=1, mark_threshold_pkts=1,
+        per_queue_capacity=True),
+    "pfabric": lambda: PFabricQueue(capacity_pkts=1),
+    "lossy-bernoulli": lambda: _lossy(
+        REDQueue(capacity_pkts=1, mark_threshold_pkts=1), _bernoulli(5)),
+    "lossy-gilbert": lambda: _lossy(
+        PriorityQueueBank(num_queues=3, capacity_pkts=1,
+                          mark_threshold_pkts=1), _gilbert(5)),
+}
+
+
+def _queue_state(q):
+    state = (q.drops, q.drop_bytes, q.marks, q.enqueued_total, len(q),
+             q.byte_depth)
+    model = getattr(q, "model", None)
+    if model is not None:
+        state += (q.injected_drops, model.rng.getstate(),
+                  getattr(model, "in_bad_state", None))
+    return state
+
+
+@pytest.mark.parametrize("name", sorted(IDLE_QUEUES))
+def test_admit_idle_matches_enqueue_then_dequeue(name):
+    """On an empty queue, ``admit_idle(p)`` leaves the counters, the loss
+    model's RNG state, the packet's ECN mark and the return value that
+    ``enqueue(p)`` followed by ``dequeue()`` leaves."""
+    idle, reference = IDLE_QUEUES[name](), IDLE_QUEUES[name]()
+    outcomes = set()
+    for i in range(200):
+        kind = PacketKind.DATA if i % 4 else PacketKind.ACK
+        a, b = (Packet(kind, src=0, dst=1, flow_id=i % 5, seq=i,
+                       size=100 + i, priority=float(i % 7),
+                       queue_index=i % 4 - 1) for _ in range(2))
+        accepted = idle.admit_idle(a)
+        expected = reference.enqueue(b)
+        if expected:
+            assert reference.dequeue() is b
+        assert accepted == expected
+        assert a.ecn_marked == b.ecn_marked
+        assert _queue_state(idle) == _queue_state(reference)
+        outcomes.add(accepted)
+    assert len(idle) == 0
+    if name.startswith("lossy"):
+        assert outcomes == {True, False}
